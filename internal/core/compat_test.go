@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -100,6 +103,57 @@ func TestEngineGoldenStreamingVsLegacy(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s differs between legacy and streaming pipelines", name)
 				}
+			}
+		})
+	}
+}
+
+// Pinned on-disk format of the 60-block golden sequence (MemCapacity
+// 32, SizeRatio 2, fanout 4): the SHA-256 of every per-block Hstate in
+// order, and the SHA-256 of every run file (name, then bytes) in name
+// order after FlushAll. Any change to either is a format or digest
+// change, never a refactor.
+var pinnedDigests = map[bool]struct{ roots, files string }{
+	false: {
+		roots: "ff4f0cf495ce10375dda6e7952a6d5ecb502f35be693aabec9c9853dbb102828",
+		files: "68d6feb92036827cf47ff5af3ebabc5d5fa931691e59419aa51609b94172e19f",
+	},
+	true: {
+		roots: "f25ae6c43f2f3fa6364e2d04ae20404e4c5a67982637e8c0c3596d8485dd6af8",
+		files: "0b9b38bb4cd79ef0a44342ea55a0aaddd9e37c91fadec453364695e8923f15e9",
+	},
+}
+
+// TestEngineDigestsPinned drives the golden block sequence through sync
+// (COLE) and async (COLE*) engines and compares the per-block digests
+// and the run files' bytes against constants captured from the seed's
+// compaction pipeline.
+func TestEngineDigestsPinned(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			opts := testOpts(t, async)
+			roots := driveBlocks(t, openEngine(t, opts), 60) // several cascades deep
+			rh := sha256.New()
+			for _, r := range roots {
+				rh.Write(r[:])
+			}
+			files := runFileBytes(t, opts.Dir)
+			names := make([]string, 0, len(files))
+			for name := range files {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			fh := sha256.New()
+			for _, name := range names {
+				fh.Write([]byte(name))
+				fh.Write(files[name])
+			}
+			want := pinnedDigests[async]
+			if got := hex.EncodeToString(rh.Sum(nil)); got != want.roots {
+				t.Errorf("per-block Hstate digest = %s, want %s", got, want.roots)
+			}
+			if got := hex.EncodeToString(fh.Sum(nil)); got != want.files {
+				t.Errorf("run files (%d) digest = %s, want %s", len(names), got, want.files)
 			}
 		})
 	}
