@@ -1,6 +1,7 @@
 // Command colebench regenerates the tables and figures of the COLE paper's
 // evaluation (§8). Each experiment prints the series the corresponding
-// figure plots; see EXPERIMENTS.md for paper-vs-measured notes.
+// figure plots; the Benchmarks section of README.md describes what each
+// experiment measures.
 //
 // Usage:
 //

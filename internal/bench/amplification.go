@@ -89,6 +89,7 @@ func statsDelta(base, now core.Stats) core.Stats {
 	now.CacheHits -= base.CacheHits
 	now.SeqReads -= base.SeqReads
 	now.TraceDropped -= base.TraceDropped
+	now.CorruptReads -= base.CorruptReads
 	// MaxCommitNanos is a high-water mark, not a counter: an unchanged
 	// mark means no commit in the window set a new worst, so the window
 	// owns none; a raised mark was set by a commit inside the window.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"cole"
@@ -187,5 +188,40 @@ func TestStatsDeltaHistWindow(t *testing.T) {
 	// The baseline snapshot itself must be unchanged by the subtraction.
 	if got := base.Hist.Commit.Count(); got != 10 {
 		t.Fatalf("baseline mutated: %d samples, want 10", got)
+	}
+}
+
+// TestStatsDeltaCoversEveryCounter sets every int64 field of core.Stats
+// by reflection, so a counter added to Stats without a matching line in
+// statsDelta fails here instead of leaking session totals into a window.
+// MaxCommitNanos is a high-water mark: a raised mark passes through, an
+// unchanged one belongs to no commit in the window.
+func TestStatsDeltaCoversEveryCounter(t *testing.T) {
+	var base, now core.Stats
+	bv, nv := reflect.ValueOf(&base).Elem(), reflect.ValueOf(&now).Elem()
+	for i := 0; i < bv.NumField(); i++ {
+		if bv.Field(i).Kind() == reflect.Int64 {
+			bv.Field(i).SetInt(int64(10 + i))
+			nv.Field(i).SetInt(int64(100 + 3*i))
+		}
+	}
+	d := reflect.ValueOf(statsDelta(base, now))
+	for i := 0; i < d.NumField(); i++ {
+		if d.Field(i).Kind() != reflect.Int64 {
+			continue
+		}
+		name := d.Type().Field(i).Name
+		want := int64(90 + 2*i)
+		if name == "MaxCommitNanos" {
+			want = int64(100 + 3*i)
+		}
+		if got := d.Field(i).Int(); got != want {
+			t.Errorf("statsDelta %s = %d, want %d", name, got, want)
+		}
+	}
+
+	now.MaxCommitNanos = base.MaxCommitNanos
+	if got := statsDelta(base, now).MaxCommitNanos; got != 0 {
+		t.Errorf("unchanged MaxCommitNanos mark = %d in the window, want 0", got)
 	}
 }

@@ -65,10 +65,6 @@ type SystemSpec struct {
 	// (chain.Batched → PutBatch) instead of per-update Put calls.
 	// Digests are identical either way.
 	Batched bool
-	// IOMode selects the merge/build data path: "" or "streaming" is the
-	// full streaming pipeline, "legacy" reverts to per-entry hashing and
-	// one-page IO granularity (run files stay byte-identical either way).
-	IOMode string
 	// PacingTarget is the compaction-debt level (bytes of in-flight merge
 	// input) at which ingest backpressure reaches its full per-block
 	// delay; 0 disables pacing. The stalls experiment's paced cells
@@ -243,19 +239,13 @@ type Result struct {
 	ReshardMBps    float64 `json:",omitempty"`
 	TPSBefore      float64 `json:",omitempty"`
 	TPSAfter       float64 `json:",omitempty"`
-	// Compaction measurements (the compaction experiment): IOMode labels
-	// the pipeline leg — "legacy" reverts the per-entry CPU work and
-	// syscall granularity (1-page windows/writes, every leaf and Bloom
-	// hash recomputed) while "streaming" is the full pipeline; both legs
-	// read merges outside the LRU, so the cache columns describe the
-	// current bypass architecture, not a delta against the seed's
-	// cache-polluting reads. MergeBytes is the level-merge volume,
-	// MergeMBps that volume per second spent inside merge builds, and
-	// PageReads / CacheHits the point-read page-cache totals (physical
-	// reads vs LRU hits), which stay intact under heavy compaction.
+	// Compaction measurements (the compaction experiment): MergeBytes is
+	// the level-merge volume, MergeMBps that volume per second spent
+	// inside merge builds, and PageReads / CacheHits the point-read
+	// page-cache totals (physical reads vs LRU hits), which stay intact
+	// under heavy compaction.
 	// MergePartitions is the key-range fan-out the row ran with (set on
 	// the partition-sweep rows and any engine phase with the knob set).
-	IOMode          string  `json:",omitempty"`
 	MergePartitions int     `json:",omitempty"`
 	MergeBytes      int64   `json:",omitempty"`
 	MergeMBps       float64 `json:",omitempty"`
@@ -307,17 +297,16 @@ func openSystem(sys System, dir string, cfg Config) (*backendHandle, error) {
 	switch sys {
 	case SysCOLE, SysCOLEAsync:
 		o := core.Options{
-			Dir:              dir,
-			MemCapacity:      cfg.MemCap,
-			SizeRatio:        cfg.SizeRatio,
-			Fanout:           cfg.Fanout,
-			BloomFP:          cfg.BloomFP,
-			AsyncMerge:       sys == SysCOLEAsync,
-			Shards:           cfg.Shards,
-			MergeWorkers:     cfg.MergeWorkers,
-			MergePartitions:  cfg.MergePartitions,
-			LegacyCompaction: cfg.IOMode == "legacy",
-			Trace:            cfg.Trace,
+			Dir:             dir,
+			MemCapacity:     cfg.MemCap,
+			SizeRatio:       cfg.SizeRatio,
+			Fanout:          cfg.Fanout,
+			BloomFP:         cfg.BloomFP,
+			AsyncMerge:      sys == SysCOLEAsync,
+			Shards:          cfg.Shards,
+			MergeWorkers:    cfg.MergeWorkers,
+			MergePartitions: cfg.MergePartitions,
+			Trace:           cfg.Trace,
 		}
 		// The batched pipeline buffers each block and lands it as one
 		// PutBatch; digests are unchanged, so it is purely a perf knob.

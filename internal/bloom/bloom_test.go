@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -145,5 +146,33 @@ func TestEstimatedFPRate(t *testing.T) {
 	}
 	if est := f.EstimatedFPRate(); est < 0.001 || est > 0.05 {
 		t.Fatalf("estimate %.4f implausible for design point 1%%", est)
+	}
+}
+
+// TestAddRepeatMatchesAdd: over a sorted multi-version address stream
+// (the run builders' input), Add on the first version of each address
+// plus AddRepeat on every later one marshals byte-identically to Add on
+// every entry.
+func TestAddRepeatMatchesAdd(t *testing.T) {
+	var stream []types.Address
+	for a := uint64(0); a < 500; a++ {
+		for v := uint64(0); v < 1+a%7; v++ {
+			stream = append(stream, types.AddressFromUint64(a))
+		}
+	}
+	full, fast := New(len(stream), 0.01), New(len(stream), 0.01)
+	for i, addr := range stream {
+		full.Add(addr)
+		if i > 0 && addr == stream[i-1] {
+			fast.AddRepeat()
+		} else {
+			fast.Add(addr)
+		}
+	}
+	if fast.Entries() != uint64(len(stream)) {
+		t.Fatalf("entries = %d, want %d", fast.Entries(), len(stream))
+	}
+	if !bytes.Equal(fast.Marshal(), full.Marshal()) {
+		t.Fatal("Add+AddRepeat filter marshals differently from Add on every entry")
 	}
 }

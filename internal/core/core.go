@@ -84,23 +84,9 @@ type Options struct {
 	BloomFP float64
 	// CachePages bounds each file's page cache: the per-file LRU that
 	// point reads (Get/GetAt/ProvQuery) hit. Streaming merges bypass it
-	// entirely (see MergeReadahead), so it can stay small without merge
-	// traffic thrashing it. Default 16.
+	// entirely (they stream through private readahead windows), so it can
+	// stay small without merge traffic thrashing it. Default 16.
 	CachePages int
-	// MergeReadahead is the window, in pages, that streaming compaction
-	// readers (level merges, exports, reshard sources) fetch per syscall,
-	// outside the page cache. Default 256 (~1 MiB at 4 KiB pages).
-	MergeReadahead int
-	// WriteBufferPages is how many pages run builders coalesce per write
-	// syscall. Default 256 (~1 MiB at 4 KiB pages); the on-disk files are
-	// byte-identical for any value.
-	WriteBufferPages int
-	// LegacyCompaction makes run builds recompute every Merkle leaf hash
-	// (instead of streaming the precomputed ones from the source runs'
-	// Merkle files) and re-hash the Bloom base digest for every entry —
-	// the seed's per-entry CPU path, kept as an ablation knob for the
-	// compaction benchmark (output bytes are identical either way).
-	LegacyCompaction bool
 	// AsyncMerge selects COLE* (checkpoint-based asynchronous merge).
 	AsyncMerge bool
 	// MBTreeFanout is the L0 Merkle B+-tree fanout. Default 16.
@@ -170,7 +156,6 @@ type Options struct {
 	// planning pass, never wider than the pool. The partitioned build is
 	// byte-identical to the sequential one (stitched value/Merkle/Bloom/
 	// index output), so the knob affects wall time only, never digests.
-	// LegacyCompaction forces sequential merges regardless.
 	MergePartitions int
 	// RootHistory is how many recent (height → Hstate) pairs the engine
 	// retains and persists in its manifest. The shard layer reads them
@@ -252,16 +237,13 @@ func (o Options) validate() error {
 
 func (o Options) runParams() run.Params {
 	return run.Params{
-		PageSize:         o.PageSize,
-		Fanout:           o.Fanout,
-		BloomFP:          o.BloomFP,
-		CachePages:       o.CachePages,
-		MergeReadahead:   o.MergeReadahead,
-		WriteBufferPages: o.WriteBufferPages,
-		OptimalPLA:       o.OptimalPLA,
-		LegacyCompaction: o.LegacyCompaction,
-		VerifyReads:      o.VerifyReads,
-		FS:               o.FS,
+		PageSize:    o.PageSize,
+		Fanout:      o.Fanout,
+		BloomFP:     o.BloomFP,
+		CachePages:  o.CachePages,
+		OptimalPLA:  o.OptimalPLA,
+		VerifyReads: o.VerifyReads,
+		FS:          o.FS,
 	}
 }
 

@@ -112,16 +112,7 @@ func bulkLevel(count int64, memCap, ratio int) int {
 // count do not combine into the new store's headers.
 func InstallBulk(opts Options, height uint64, count int64, src run.Iterator) error {
 	return InstallBulkFrom(opts, height, count, func(dir string, id uint64, params run.Params) (*run.Run, error) {
-		r, err := run.Build(dir, id, count, params, src)
-		if err != nil {
-			// A source iterator that died mid-stream surfaces as a count
-			// mismatch inside Build; report the underlying I/O error.
-			if ei, ok := src.(run.ErrIterator); ok && ei.Err() != nil {
-				return nil, ei.Err()
-			}
-			return nil, err
-		}
-		return r, nil
+		return run.Build(dir, id, count, params, src)
 	})
 }
 

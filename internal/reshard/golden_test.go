@@ -13,16 +13,17 @@ import (
 	"cole/internal/types"
 )
 
-// rehashIterator strips the leaf hashes from a hashed source so Build is
-// forced onto the legacy recompute path.
-type rehashIterator struct{ inner run.Iterator }
+// rehashIterator hides a run iterator's leaf hashes so Build recomputes
+// every one of them (the HashEntry path of an L0 flush).
+type rehashIterator struct{ inner *run.RunIterator }
 
 func (r rehashIterator) Next() (types.Entry, bool) { return r.inner.Next() }
+func (r rehashIterator) Err() error                { return r.inner.Err() }
 
 // TestReshardGoldenPassthrough proves the spooled leaf hashes survive
 // the reshard hop intact: every destination run the rewrite bulk-built
-// (through spool-carried hashes) is byte-for-byte the run a legacy
-// rebuild from its own entry stream would produce — same learned index,
+// (through spool-carried hashes) is byte-for-byte the run a rebuild from
+// its own entry stream, every leaf hash recomputed, would produce — same learned index,
 // Merkle file, Bloom filter, metadata, and digest.
 func TestReshardGoldenPassthrough(t *testing.T) {
 	dir := t.TempDir()
@@ -48,22 +49,15 @@ func TestReshardGoldenPassthrough(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Legacy rebuild of the same run from its own entries, leaf
-			// hashes recomputed from scratch.
+			// Rebuild of the same run from its own entries, leaf hashes
+			// recomputed from scratch.
 			rebuildDir := t.TempDir()
-			params := run.Params{
-				Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1, LegacyCompaction: true,
-			}
-			it := r.Iter()
-			rebuilt, err := run.Build(rebuildDir, id, r.Count(), params, rehashIterator{it})
+			rebuilt, err := run.Build(rebuildDir, id, r.Count(), run.Params{Fanout: 4}, rehashIterator{r.Iter()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
 			if rebuilt.Digest() != r.Digest() {
-				t.Fatalf("shard %d run %d: digest differs from legacy rebuild", j, id)
+				t.Fatalf("shard %d run %d: digest differs from the rehashed rebuild", j, id)
 			}
 			for _, name := range run.Files(id) {
 				want, err := os.ReadFile(filepath.Join(engDir, name))
@@ -75,7 +69,7 @@ func TestReshardGoldenPassthrough(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("shard %d run %d: %s differs from legacy rebuild", j, id, name)
+					t.Fatalf("shard %d run %d: %s differs from the rehashed rebuild", j, id, name)
 				}
 			}
 			rebuilt.Close()

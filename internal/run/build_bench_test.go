@@ -7,11 +7,12 @@ import (
 	"cole/internal/types"
 )
 
-// benchMergeBuild times a 4-way sort-merge rebuild of version-clustered
-// runs — the level-merge data path — under the given params, so the
-// legacy and streaming pipelines can be compared with
+// BenchmarkMergeBuildStreaming times a 4-way sort-merge rebuild of
+// version-clustered runs — the level-merge data path, leaf hashes
+// passed through from the sources' Merkle files:
 // `go test -bench MergeBuild ./internal/run`.
-func benchMergeBuild(b *testing.B, params Params) {
+func BenchmarkMergeBuildStreaming(b *testing.B) {
+	params := Params{Fanout: 4}
 	dir := b.TempDir()
 	const nAddrs, versions, ways = 20000, 8, 4
 	addrs := make([]types.Address, nAddrs)
@@ -50,20 +51,9 @@ func benchMergeBuild(b *testing.B, params Params) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := it.Err(); err != nil {
-			b.Fatal(err)
-		}
 		b.SetBytes(total * types.EntrySize)
 		if err := r.Remove(); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkMergeBuildLegacy(b *testing.B) {
-	benchMergeBuild(b, Params{Fanout: 4, MergeReadahead: 1, WriteBufferPages: 1, LegacyCompaction: true})
-}
-
-func BenchmarkMergeBuildStreaming(b *testing.B) {
-	benchMergeBuild(b, Params{Fanout: 4})
 }

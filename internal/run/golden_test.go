@@ -33,27 +33,30 @@ func runFiles(t *testing.T, dir string, id uint64) map[string][]byte {
 	return out
 }
 
+// rehashIterator hides a source's HashedIterator side, so Build takes
+// the recompute path: every Merkle leaf hash is types.HashEntry of its
+// entry, as in an L0 flush.
+type rehashIterator struct{ inner Iterator }
+
+func (r rehashIterator) Next() (types.Entry, bool) { return r.inner.Next() }
+func (r rehashIterator) Err() error                { return sourceErr(r.inner) }
+
 // TestBuildGoldenStreamingVsLegacy is the byte-compatibility oracle for
-// the streaming compaction pipeline: the same merged entry stream built
-// through the legacy path (1-page IO, every leaf and Bloom hash
-// recomputed) and the streaming path (readahead + coalesced writes +
-// leaf-hash passthrough) must produce byte-identical .val/.idx/.mrk/.met
-// files and equal run digests — for both PLA builders.
+// the leaf-hash passthrough: the same merged entry stream built with
+// every leaf hash recomputed and with the hashes streamed from the
+// source runs' Merkle files must produce byte-identical .val/.idx/.mrk/
+// .met files and equal run digests — for both PLA builders.
 func TestBuildGoldenStreamingVsLegacy(t *testing.T) {
 	entries := genEntries(7, 800, 8)
 	for _, optimal := range []bool{false, true} {
-		legacyParams := Params{
-			Fanout: 4, OptimalPLA: optimal,
-			MergeReadahead: 1, WriteBufferPages: 1, LegacyCompaction: true,
-		}
-		streamParams := Params{Fanout: 4, OptimalPLA: optimal}
+		params := Params{Fanout: 4, OptimalPLA: optimal}
 
 		// Shared source runs (built once; the builders under test consume
 		// their merged stream).
 		srcDir := t.TempDir()
 		var sources []*Run
 		for i, part := range splitSorted(entries, 3) {
-			r, err := Build(srcDir, uint64(i), int64(len(part)), streamParams, NewSliceIterator(part))
+			r, err := Build(srcDir, uint64(i), int64(len(part)), params, NewSliceIterator(part))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,31 +64,23 @@ func TestBuildGoldenStreamingVsLegacy(t *testing.T) {
 			sources = append(sources, r)
 		}
 
-		legacyDir, streamDir := t.TempDir(), t.TempDir()
-		itL := MergeRuns(sources)
-		legacyRun, err := Build(legacyDir, 9, int64(len(entries)), legacyParams, itL)
+		rehashDir, streamDir := t.TempDir(), t.TempDir()
+		rehashRun, err := Build(rehashDir, 9, int64(len(entries)), params, rehashIterator{MergeRuns(sources)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer legacyRun.Close()
-		if err := itL.Err(); err != nil {
-			t.Fatal(err)
-		}
-		itS := MergeRuns(sources)
-		streamRun, err := Build(streamDir, 9, int64(len(entries)), streamParams, itS)
+		defer rehashRun.Close()
+		streamRun, err := Build(streamDir, 9, int64(len(entries)), params, MergeRuns(sources))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer streamRun.Close()
-		if err := itS.Err(); err != nil {
-			t.Fatal(err)
-		}
 
-		if legacyRun.Digest() != streamRun.Digest() {
+		if rehashRun.Digest() != streamRun.Digest() {
 			t.Fatalf("optimal=%v: run digests differ", optimal)
 		}
-		lf, sf := runFiles(t, legacyDir, 9), runFiles(t, streamDir, 9)
-		for ext, want := range lf {
+		rf, sf := runFiles(t, rehashDir, 9), runFiles(t, streamDir, 9)
+		for ext, want := range rf {
 			if !bytes.Equal(sf[ext], want) {
 				t.Fatalf("optimal=%v: %s files differ (%d vs %d bytes)", optimal, ext, len(sf[ext]), len(want))
 			}

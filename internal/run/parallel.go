@@ -92,11 +92,7 @@ func BuildPartitioned(dir string, id uint64, count int64, params Params, spans [
 		return nil, fmt.Errorf("run: spans cover %d entries, expected %d", spanned, count)
 	}
 
-	perPage := int64(pagefile.PerPage(params.PageSize, types.EntrySize))
-	wbufPages := params.WriteBufferPages
-	if vp := (count + perPage - 1) / perPage; int64(wbufPages) > vp {
-		wbufPages = int(vp)
-	}
+	wbufPages := writeBufferPages(count, params.PageSize)
 
 	valW, err := pagefile.CreateSharedFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, count)
 	if err != nil {
@@ -212,58 +208,8 @@ func buildSpan(valW *pagefile.SharedWriter, mrkW *mht.SharedWriter, count int64,
 	// The span filter gets the full run's geometry so the union marshals
 	// byte-identically to one sequential pass.
 	filter := bloom.New(int(count), params.BloomFP)
-
-	var hashSrc HashedIterator
-	if h, ok := src.(HashedIterator); ok && h.Hashed() && !params.LegacyCompaction {
-		hashSrc = h
-	}
-
-	want := sp.Hi - sp.Lo
-	var seen int64
-	entryBuf := make([]byte, types.EntrySize)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if seen >= want {
-			return fail(fmt.Errorf("span yielded more than %d entries", want))
-		}
-		sameAddr := seen > 0 && e.Key.Addr == res.maxKey.Addr && !params.LegacyCompaction
-		if seen == 0 {
-			res.minKey = e.Key
-		}
-		res.maxKey = e.Key
-		types.EncodeEntry(entryBuf, e)
-		if err := seg.Append(entryBuf); err != nil {
-			return fail(err)
-		}
-		var leaf types.Hash
-		if hashSrc != nil {
-			if leaf, err = hashSrc.LeafHash(); err != nil {
-				return fail(err)
-			}
-		} else {
-			leaf = types.HashEntry(e)
-		}
-		if err := mspan.Add(leaf); err != nil {
-			return fail(err)
-		}
-		// A span whose first entries continue the previous span's address
-		// re-Adds it: the bit pattern is idempotent and both paths count
-		// one entry, so the union stays byte-identical.
-		if sameAddr {
-			filter.AddRepeat()
-		} else {
-			filter.Add(e.Key.Addr)
-		}
-		seen++
-	}
-	if err := sourceErr(src); err != nil {
+	if res.minKey, res.maxKey, err = buildEntries(src, sp.Hi-sp.Lo, seg, mspan, filter, nil); err != nil {
 		return fail(err)
-	}
-	if seen != want {
-		return fail(fmt.Errorf("span yielded %d entries, expected %d", seen, want))
 	}
 	if err := seg.Close(); err != nil {
 		return fail(err)
@@ -291,7 +237,7 @@ func buildIndexFromValues(dir string, id uint64, count int64, params Params,
 		idxW.Abort()
 		return nil, err
 	}
-	reader := valW.Reader(params.MergeReadahead)
+	reader := valW.Reader(pagefile.DefaultReadaheadPages)
 	for pos := int64(0); pos < count; pos++ {
 		rec, ok, err := reader.Next()
 		if err != nil {

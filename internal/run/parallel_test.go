@@ -3,6 +3,7 @@ package run
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -420,5 +421,66 @@ func TestBuildPartitionedSpanErrorAborts(t *testing.T) {
 	}
 	if _, err := Open(parDir, 1, params); err == nil {
 		t.Fatal("run files survived an aborted partitioned build")
+	}
+}
+
+// failingIterator yields its entries until limit, then stops with err
+// (a source whose read failed mid-stream).
+type failingIterator struct {
+	inner Iterator
+	limit int
+	n     int
+	err   error
+}
+
+func (f *failingIterator) Next() (types.Entry, bool) {
+	if f.n >= f.limit {
+		return types.Entry{}, false
+	}
+	f.n++
+	return f.inner.Next()
+}
+
+func (f *failingIterator) Err() error {
+	if f.n >= f.limit {
+		return f.err
+	}
+	return nil
+}
+
+// TestBuildSurfacesSourceError: a source that dies mid-stream must fail
+// the build with its own error, not a generic short-count error — for
+// the sequential builder and for a failing span of a partitioned one.
+func TestBuildSurfacesSourceError(t *testing.T) {
+	sentinel := errors.New("injected read failure")
+	entries := genEntries(13, 400, 4)
+	count := int64(len(entries))
+	params := Params{Fanout: 4}
+
+	_, err := Build(t.TempDir(), 1, count, params,
+		&failingIterator{inner: NewSliceIterator(entries), limit: len(entries) / 2, err: sentinel})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("Build: got %v, want the source's error", err)
+	}
+
+	sources := buildSources(t, t.TempDir(), entries, 2, params)
+	spans, err := PlanRuns(sources, 4, params.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) < 2 {
+		t.Fatal("input too small to partition")
+	}
+	last := spans[len(spans)-1]
+	_, err = BuildPartitioned(t.TempDir(), 1, count, params, spans,
+		func(sp Span) (Iterator, error) {
+			it := Iterator(MergeRunsRange(sources, sp))
+			if sp.Lo == last.Lo {
+				it = &failingIterator{inner: it, limit: int(sp.Hi-sp.Lo) / 2, err: sentinel}
+			}
+			return it, nil
+		}, Parallel{})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("BuildPartitioned: got %v, want the source's error", err)
 	}
 }

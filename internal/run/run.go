@@ -80,27 +80,11 @@ type Params struct {
 	Fanout     int     // MHT fanout m (must be ≥ 2)
 	BloomFP    float64 // bloom false-positive target (0.01 if 0)
 	CachePages int     // per-file page cache (16 if 0)
-	// MergeReadahead is the window, in pages, that streaming run readers
-	// (Iter: level merges, exports, reshard sources) fetch per syscall,
-	// bypassing the point-read page cache. Default 256 (~1 MiB at 4 KiB
-	// pages).
-	MergeReadahead int
-	// WriteBufferPages is how many pages run builders coalesce per write
-	// syscall. Default 256 (~1 MiB at 4 KiB pages). Any value produces
-	// byte-identical files.
-	WriteBufferPages int
 	// OptimalPLA selects the exact convex-hull segment construction
 	// (pla.OptimalBuilder) instead of the default greedy cone: fewer
 	// models per run at a higher build cost. Both produce identical
 	// on-disk formats, so the flag only matters at build time.
 	OptimalPLA bool
-	// LegacyCompaction reverts Build's per-entry CPU path to the
-	// pre-streaming behavior: every Merkle leaf hash is recomputed even
-	// when the source supplies precomputed ones, and every entry re-hashes
-	// the Bloom base digest instead of taking the consecutive-version fast
-	// path. An ablation knob for the compaction benchmark; the output
-	// files are byte-identical either way.
-	LegacyCompaction bool
 	// VerifyReads makes every point lookup check the returned entry
 	// against its stored Merkle leaf hash, turning silent value-page
 	// bit rot into a typed ErrCorrupt at the cost of one hash read and
@@ -132,12 +116,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.CachePages == 0 {
 		p.CachePages = 16
-	}
-	if p.MergeReadahead == 0 {
-		p.MergeReadahead = pagefile.DefaultReadaheadPages
-	}
-	if p.WriteBufferPages == 0 {
-		p.WriteBufferPages = pagefile.DefaultWriteBufferPages
 	}
 	p.FS = vfs.OrOS(p.FS)
 	return p
@@ -187,7 +165,9 @@ func Files(id uint64) []string {
 }
 
 // Build streams a sorted iterator into a new run. count must equal the
-// number of entries the iterator yields.
+// number of entries the iterator yields. This is the sequential writer
+// behind every L0 flush and every one-span merge: the learned index is
+// built in the same pass as the value, Merkle and Bloom output.
 func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Run, error) {
 	params = params.withDefaults()
 	if params.Fanout < 2 {
@@ -197,15 +177,7 @@ func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Ru
 		return nil, fmt.Errorf("run: empty runs are not built (count=%d)", count)
 	}
 
-	// Cap the coalescing buffers at the value file's own page count: a
-	// small run (an L0 flush, a shallow level) should not pay a ~1 MiB
-	// allocation per file to save syscalls it will never issue. The
-	// index and Merkle files are never larger than the value file.
-	wbufPages := params.WriteBufferPages
-	if vp := (count + int64(pagefile.PerPage(params.PageSize, types.EntrySize)) - 1) /
-		int64(pagefile.PerPage(params.PageSize, types.EntrySize)); int64(wbufPages) > vp {
-		wbufPages = int(vp)
-	}
+	wbufPages := writeBufferPages(count, params.PageSize)
 	valW, err := pagefile.CreateWriterSizeFS(params.FS, valuePath(dir, id), params.PageSize, types.EntrySize, wbufPages)
 	if err != nil {
 		return nil, err
@@ -228,81 +200,20 @@ func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Ru
 		_ = params.FS.Remove(metaPath(dir, id))
 	}
 
-	filter := bloom.New(int(count), params.BloomFP)
-	epsVal := pagefile.Epsilon(params.PageSize, types.EntrySize)
-
 	// Bottom model layer: learn over (key, value-file position). Collect
 	// each emitted model's (kmin, index-file position) to drive the upper
 	// layers — O(#models) memory, a tiny fraction of the data.
-	var (
-		seen   int64
-		minKey types.CompoundKey
-		maxKey types.CompoundKey
-	)
 	ib := newIndexBuilder(idxW, params)
-	builder, err := newSegmentBuilder(params.OptimalPLA, epsVal, ib.writeModel)
+	builder, err := newSegmentBuilder(params.OptimalPLA, pagefile.Epsilon(params.PageSize, types.EntrySize), ib.writeModel)
 	if err != nil {
 		abort()
 		return nil, err
 	}
-
-	// Leaf-hash passthrough: when the source can replay precomputed leaf
-	// hashes (a run's .mrk file, a reshard spool, or a merge of such
-	// sources), consume them instead of re-running SHA-256 over every
-	// entry. L0 flushes arrive as plain slice iterators — no Merkle file
-	// exists yet — and keep hashing. The output is byte-identical either
-	// way: a stored leaf hash IS types.HashEntry of its entry.
-	var hashSrc HashedIterator
-	if h, ok := src.(HashedIterator); ok && h.Hashed() && !params.LegacyCompaction {
-		hashSrc = h
-	}
-
-	entryBuf := make([]byte, types.EntrySize)
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		// Consecutive versions of one address are adjacent in compound-key
-		// order; the filter insert is idempotent, so only the first needs
-		// the SHA-256 base hashes.
-		sameAddr := seen > 0 && e.Key.Addr == maxKey.Addr && !params.LegacyCompaction
-		if seen == 0 {
-			minKey = e.Key
-		}
-		maxKey = e.Key
-		types.EncodeEntry(entryBuf, e)
-		if err := valW.Append(entryBuf); err != nil {
-			abort()
-			return nil, err
-		}
-		if err := builder.Add(e.Key, seen); err != nil {
-			abort()
-			return nil, err
-		}
-		var leaf types.Hash
-		if hashSrc != nil {
-			if leaf, err = hashSrc.LeafHash(); err != nil {
-				abort()
-				return nil, err
-			}
-		} else {
-			leaf = types.HashEntry(e)
-		}
-		if err := mrkW.Add(leaf); err != nil {
-			abort()
-			return nil, err
-		}
-		if sameAddr {
-			filter.AddRepeat()
-		} else {
-			filter.Add(e.Key.Addr)
-		}
-		seen++
-	}
-	if seen != count {
+	filter := bloom.New(int(count), params.BloomFP)
+	minKey, maxKey, err := buildEntries(src, count, valW, mrkW, filter, builder)
+	if err != nil {
 		abort()
-		return nil, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, count)
+		return nil, err
 	}
 	if err := builder.Finish(); err != nil {
 		abort()
@@ -343,6 +254,94 @@ func Build(dir string, id uint64, count int64, params Params, src Iterator) (*Ru
 		return nil, err
 	}
 	return Open(dir, id, params)
+}
+
+// writeBufferPages caps the coalescing buffers at the value file's own
+// page count: a small run (an L0 flush, a shallow level) should not pay
+// a ~1 MiB allocation per file to save syscalls it will never issue.
+// The index and Merkle files are never larger than the value file.
+func writeBufferPages(count int64, pageSize int) int {
+	perPage := int64(pagefile.PerPage(pageSize, types.EntrySize))
+	if vp := (count + perPage - 1) / perPage; vp < pagefile.DefaultWriteBufferPages {
+		return int(vp)
+	}
+	return pagefile.DefaultWriteBufferPages
+}
+
+// buildEntries is the one per-entry loop of every run build: the whole
+// sequential Build and each span of BuildPartitioned. Each entry is
+// encoded into vals, fed to the bottom-layer PLA builder (index, nil for
+// spans, whose index is rebuilt after the join), given its Merkle leaf
+// hash, and inserted into filter. It returns the first and last keys
+// seen, and fails unless src yields exactly want entries — a source that
+// stopped on a read error reports that error, not the short count.
+func buildEntries(src Iterator, want int64, vals interface{ Append([]byte) error },
+	leaves interface{ Add(types.Hash) error }, filter *bloom.Filter, index segmentBuilder) (minKey, maxKey types.CompoundKey, err error) {
+	// Leaf-hash passthrough: when the source can replay precomputed leaf
+	// hashes (a run's .mrk file, a reshard spool, or a merge of such
+	// sources), consume them instead of re-running SHA-256 over every
+	// entry. L0 flushes arrive as plain slice iterators — no Merkle file
+	// exists yet — and keep hashing. The output is byte-identical either
+	// way: a stored leaf hash IS types.HashEntry of its entry.
+	var hashSrc HashedIterator
+	if h, ok := src.(HashedIterator); ok && h.Hashed() {
+		hashSrc = h
+	}
+
+	var seen int64
+	entryBuf := make([]byte, types.EntrySize)
+	for {
+		e, ok := src.Next()
+		if !ok {
+			break
+		}
+		if seen >= want {
+			return minKey, maxKey, fmt.Errorf("run: iterator yielded more than %d entries", want)
+		}
+		// Consecutive versions of one address are adjacent in compound-key
+		// order; the filter insert is idempotent, so only the first needs
+		// the SHA-256 base hashes. A span whose first entries continue the
+		// previous span's address re-Adds it: the bits are the same and
+		// both paths count one entry, so the union stays byte-identical.
+		sameAddr := seen > 0 && e.Key.Addr == maxKey.Addr
+		if seen == 0 {
+			minKey = e.Key
+		}
+		maxKey = e.Key
+		types.EncodeEntry(entryBuf, e)
+		if err := vals.Append(entryBuf); err != nil {
+			return minKey, maxKey, err
+		}
+		if index != nil {
+			if err := index.Add(e.Key, seen); err != nil {
+				return minKey, maxKey, err
+			}
+		}
+		var leaf types.Hash
+		if hashSrc != nil {
+			if leaf, err = hashSrc.LeafHash(); err != nil {
+				return minKey, maxKey, err
+			}
+		} else {
+			leaf = types.HashEntry(e)
+		}
+		if err := leaves.Add(leaf); err != nil {
+			return minKey, maxKey, err
+		}
+		if sameAddr {
+			filter.AddRepeat()
+		} else {
+			filter.Add(e.Key.Addr)
+		}
+		seen++
+	}
+	if err := sourceErr(src); err != nil {
+		return minKey, maxKey, err
+	}
+	if seen != want {
+		return minKey, maxKey, fmt.Errorf("run: iterator yielded %d entries, expected %d", seen, want)
+	}
+	return minKey, maxKey, nil
 }
 
 // indexBuilder accumulates the bottom model layer of a learned index and
@@ -540,12 +539,12 @@ func (r *Run) Models() int64 {
 
 // Iter returns a sequential iterator over the run's entries in key order
 // (used by level sort-merges, exports, and reshard). It streams through
-// a private readahead buffer (Params.MergeReadahead pages per syscall)
+// a private readahead buffer (pagefile.DefaultReadaheadPages per syscall)
 // that bypasses the run's point-read page cache entirely: a background
 // merge scanning this run evicts nothing from concurrent readers' caches
 // and takes no per-record lock. Read errors surface through Err.
 func (r *Run) Iter() *RunIterator {
-	return &RunIterator{r: r, sr: r.values.SequentialReader(r.params.MergeReadahead)}
+	return &RunIterator{r: r, sr: r.values.SequentialReader(pagefile.DefaultReadaheadPages)}
 }
 
 // IterRange returns a sequential iterator over value-file positions
@@ -555,7 +554,7 @@ func (r *Run) Iter() *RunIterator {
 func (r *Run) IterRange(lo, hi int64) *RunIterator {
 	return &RunIterator{
 		r:   r,
-		sr:  r.values.SequentialReaderRange(r.params.MergeReadahead, lo, hi),
+		sr:  r.values.SequentialReaderRange(pagefile.DefaultReadaheadPages, lo, hi),
 		pos: lo,
 	}
 }
@@ -613,7 +612,7 @@ func (it *RunIterator) Hashed() bool { return true }
 // run's .mrk file.
 func (it *RunIterator) LeafHash() (types.Hash, error) {
 	if it.leaves == nil {
-		it.leaves = it.r.merkle.LeafStream(it.r.params.MergeReadahead * it.r.params.PageSize)
+		it.leaves = it.r.merkle.LeafStream(pagefile.DefaultReadaheadPages * it.r.params.PageSize)
 	}
 	return it.leaves.At(it.pos - 1)
 }

@@ -68,6 +68,11 @@ func TestStoreStatsTraceCounters(t *testing.T) {
 	}
 	defer s.Close()
 	runBlocks(t, s, 0, 6, 32, 64)
+	// Quiesce before comparing: an async merge still running would record
+	// (and drop) events between the two reads below.
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	dropped := tr.Dropped()
 	if dropped == 0 {
