@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"cole"
@@ -13,12 +11,9 @@ import (
 	"cole/internal/workload"
 )
 
-// stallCell is one corner of the stalls matrix: whether ingest pacing is
-// on, and whether background merges run preemptibly chunked with the
-// pipelined commit path or as monolithic jobs on the legacy path.
+// stallCell is one cell of the stalls matrix: whether ingest pacing is on.
 type stallCell struct {
-	paced       bool
-	preemptible bool
+	paced bool
 }
 
 func (c stallCell) pacing() string {
@@ -28,29 +23,15 @@ func (c stallCell) pacing() string {
 	return "unpaced"
 }
 
-func (c stallCell) mergeMode() string {
-	if c.preemptible {
-		return "preemptible"
-	}
-	return "monolithic"
-}
+// stallCells enumerates the matrix with the reference cell (unpaced)
+// first and the paced one last.
+var stallCells = []stallCell{{paced: false}, {paced: true}}
 
-// stallCells enumerates the matrix with the reference cell (unpaced
-// monolithic — the pre-pacing engine) first and the full stall-free
-// configuration (paced preemptible) last.
-var stallCells = []stallCell{
-	{paced: false, preemptible: false},
-	{paced: false, preemptible: true},
-	{paced: true, preemptible: false},
-	{paced: true, preemptible: true},
-}
-
-// stallOptions builds the engine options for one cell. The preemptible
-// cells turn on the whole new write path — chunked merges, the pipelined
-// commit, and the sorted bulk-load of L0 — while the monolithic cells pin
-// the legacy behavior (MergeChunk < 0 disables chunking even for deep
-// merges). A narrow merge pool is the experiment's point: commits must
-// compete with compaction for the same workers.
+// stallOptions builds the engine options for one cell. Every cell runs
+// the same write path — merges chunked at the given quantum and the
+// sorted bulk-load of L0 — so the cells differ only in pacing. A narrow
+// merge pool is the experiment's point: commits must compete with
+// compaction for the same workers.
 func stallOptions(dir string, cfg Config, sys System, cell stallCell, target int64, memCap, chunk int) cole.Options {
 	o := cole.Options{
 		Dir:          dir,
@@ -60,16 +41,11 @@ func stallOptions(dir string, cfg Config, sys System, cell stallCell, target int
 		BloomFP:      cfg.BloomFP,
 		AsyncMerge:   sys == SysCOLEAsync,
 		MergeWorkers: cfg.MergeWorkers,
+		MergeChunk:   chunk,
+		SortedBatch:  true,
 	}
 	if o.MergeWorkers == 0 {
 		o.MergeWorkers = 1
-	}
-	if cell.preemptible {
-		o.MergeChunk = chunk
-		o.PipelinedCommit = true
-		o.SortedBatch = true
-	} else {
-		o.MergeChunk = -1
 	}
 	if cell.paced {
 		o.PacingTarget = target
@@ -93,14 +69,9 @@ func stallPacingTarget(cfg Config) int64 {
 
 // stallIdentity proves the matrix is digest-transparent: the same
 // deterministic block sequence driven through every cell of one system
-// must commit byte-identical per-block Hstate digests — chunking moves
-// merge scheduling, pacing moves time, and the pipelined commit moves
-// file I/O, but none of them may move a single hash. A deliberately tiny
-// L0 and an aggressive chunk quantum make the sequence cascade
-// constantly. Blocks are canonical (duplicate-free, address-sorted):
-// the sorted bulk-load of the preemptible cells builds the L0 tree in
-// key order, so it only promises the per-key-descent tree for batches
-// already in that order — the form every cell must agree on.
+// must commit byte-identical per-block Hstate digests — pacing moves
+// time, never a hash. A deliberately tiny L0 and an aggressive chunk
+// quantum make the sequence cascade constantly.
 func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 	const (
 		memCap   = 64
@@ -148,9 +119,6 @@ func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 				})
 			}
 		}
-		sort.Slice(batch, func(i, j int) bool {
-			return bytes.Compare(batch[i].Addr[:], batch[j].Addr[:]) < 0
-		})
 		var ref types.Hash
 		for i, cr := range runs {
 			if err := cr.db.BeginBlock(h); err != nil {
@@ -168,9 +136,8 @@ func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 				continue
 			}
 			if root != ref {
-				return fmt.Errorf("stalls: %s block %d: %s/%s digest %s != %s/%s digest %s",
-					sys, h, cr.cell.pacing(), cr.cell.mergeMode(), root,
-					runs[0].cell.pacing(), runs[0].cell.mergeMode(), ref)
+				return fmt.Errorf("stalls: %s block %d: %s digest %s != %s digest %s",
+					sys, h, cr.cell.pacing(), root, runs[0].cell.pacing(), ref)
 			}
 		}
 	}
@@ -179,11 +146,11 @@ func stallIdentity(cfg Config, sys System, target int64, scratch string) error {
 
 // stallRate calibrates the open-loop arrival rate: an explicit cfg.Rate
 // wins, else a short closed-loop probe of the reference cell (unpaced
-// monolithic COLE*) measures raw write capacity and the matrix runs at
-// 60% of it — fast enough that merge debt accumulates and monolithic
-// deep merges stall commits, slow enough that a paced engine can absorb
-// the backpressure without falling behind on throughput.
-func stallRate(cfg Config, spec workload.Spec, target int64, scratch string) (float64, error) {
+// COLE*) measures raw write capacity and the matrix runs at 60% of it —
+// fast enough that merge debt accumulates and deep merges stall
+// unpaced commits, slow enough that a paced engine can absorb the
+// backpressure without falling behind on throughput.
+func stallRate(cfg Config, spec workload.Spec, target int64, chunk int, scratch string) (float64, error) {
 	if cfg.Rate > 0 {
 		return cfg.Rate, nil
 	}
@@ -202,7 +169,7 @@ func stallRate(cfg Config, spec workload.Spec, target int64, scratch string) (fl
 		return 0, err
 	}
 	defer cleanup(dir)
-	db, err := cole.Open(stallOptions(dir, cfg, SysCOLEAsync, stallCells[0], target, cfg.MemCap, 0))
+	db, err := cole.Open(stallOptions(dir, cfg, SysCOLEAsync, stallCells[0], target, cfg.MemCap, chunk))
 	if err != nil {
 		return 0, err
 	}
@@ -219,10 +186,10 @@ func stallRate(cfg Config, spec workload.Spec, target int64, scratch string) (fl
 }
 
 // StallBench is the tail-latency experiment behind `colebench -exp
-// stalls`: a sustained open-loop write run through every cell of
-// {paced, unpaced} × {preemptible, monolithic} for both COLE systems,
-// reporting the commit-latency ladder (p50/p99/p99.9/max) plus the
-// engine's own stall, pacing, and preemption counters. All cells of one
+// stalls`: a sustained open-loop write run through the paced and
+// unpaced cells of both COLE systems, reporting the commit-latency
+// ladder (p50/p99/p99.9/max) plus the engine's own stall, pacing, and
+// preemption counters. All cells of one
 // system share the same arrival rate, so their mean throughput is
 // comparable and the ladder isolates the tail. Before the clock starts,
 // a digest-identity pass proves every cell commits byte-identical
@@ -232,8 +199,8 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 	target := stallPacingTarget(cfg)
 
 	t := &Table{
-		Title: "Stalls: open-loop commit tail latency across pacing × merge preemption",
-		Columns: []string{"system", "pacing", "merge", "blocks", "ops/s",
+		Title: "Stalls: open-loop commit tail latency, paced vs unpaced",
+		Columns: []string{"system", "pacing", "blocks", "ops/s",
 			"commit p50", "p99", "p99.9", "max", "stall", "paced", "preempts"},
 		Notes: []string{
 			fmt.Sprintf("paced cells ramp to full per-block delay at %d bytes of compaction debt", target),
@@ -257,7 +224,7 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 		workers = 1
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("merge pool: %d worker(s); preemptible cells also run the pipelined commit and sorted bulk-load", workers),
+		fmt.Sprintf("merge pool: %d worker(s); every cell runs chunked preemptible merges and the sorted bulk-load", workers),
 		fmt.Sprintf("load phase seeds %d keys so the store starts deep enough for merges to contend with commits", spec.Keys))
 
 	for _, sys := range []System{SysCOLE, SysCOLEAsync} {
@@ -267,14 +234,7 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "digest identity: all cells commit byte-identical per-block Hstate digests (verified)")
 
-	rate, err := stallRate(cfg, spec, target, scratch)
-	if err != nil {
-		return nil, err
-	}
-	spec.Rate = rate
-	t.Notes = append(t.Notes, fmt.Sprintf("open-loop arrival rate: %.0f ops/s (60%% of calibrated raw write capacity unless -rate is set)", rate))
-
-	// Chunk the timed cells' merges at a quarter of a flush volume: fine
+	// Chunk the measured merges at a quarter of a flush volume: fine
 	// enough that even a level-1 merge reaches several checkpoints, coarse
 	// enough that checkpoint overhead stays in the noise.
 	chunk := cfg.MemCap / 4
@@ -282,8 +242,15 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 		chunk = 1
 	}
 
-	// heads keeps each system's p99.9 corners for the headline note.
-	type headline struct{ mono, both time.Duration }
+	rate, err := stallRate(cfg, spec, target, chunk, scratch)
+	if err != nil {
+		return nil, err
+	}
+	spec.Rate = rate
+	t.Notes = append(t.Notes, fmt.Sprintf("open-loop arrival rate: %.0f ops/s (60%% of calibrated raw write capacity unless -rate is set)", rate))
+
+	// heads keeps each system's p99.9 per cell for the headline note.
+	type headline struct{ unpaced, paced time.Duration }
 	heads := map[System]*headline{}
 	// traceChecked counts the timed cells whose trace event counts were
 	// verified against the engine's own counters (cfg.Trace set).
@@ -315,7 +282,7 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 			if err != nil {
 				_ = db.Close()
 				cleanup(dir)
-				return nil, fmt.Errorf("%s/%s/%s: %w", sys, cell.pacing(), cell.mergeMode(), err)
+				return nil, fmt.Errorf("%s/%s: %w", sys, cell.pacing(), err)
 			}
 			if cfg.Trace != nil && cfg.Trace.Dropped() == dropBase {
 				// runOpenLoop ends with FlushAll, which joins every in-flight
@@ -327,14 +294,14 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 				if got := cfg.Trace.CountType(obs.EvMergePreempt) - preemptBase; got != st.Preemptions {
 					_ = db.Close()
 					cleanup(dir)
-					return nil, fmt.Errorf("%s/%s/%s: %d preempt trace events, %d Stats.Preemptions",
-						sys, cell.pacing(), cell.mergeMode(), got, st.Preemptions)
+					return nil, fmt.Errorf("%s/%s: %d preempt trace events, %d Stats.Preemptions",
+						sys, cell.pacing(), got, st.Preemptions)
 				}
 				if got := cfg.Trace.CountType(obs.EvPace) - paceBase; got != st.PaceSleeps {
 					_ = db.Close()
 					cleanup(dir)
-					return nil, fmt.Errorf("%s/%s/%s: %d pace trace events, %d Stats.PaceSleeps",
-						sys, cell.pacing(), cell.mergeMode(), got, st.PaceSleeps)
+					return nil, fmt.Errorf("%s/%s: %d pace trace events, %d Stats.PaceSleeps",
+						sys, cell.pacing(), got, st.PaceSleeps)
 				}
 				traceChecked++
 			}
@@ -343,7 +310,6 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 				System:         sys,
 				Workload:       Workload(spec.Label()),
 				Pacing:         cell.pacing(),
-				MergeMode:      cell.mergeMode(),
 				Rate:           rate,
 				Blocks:         int(r.blocks),
 				Txs:            int(r.writeOps),
@@ -365,7 +331,7 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 			cleanup(dir)
 			t.Results = append(t.Results, res)
 			t.Rows = append(t.Rows, []string{
-				string(sys), res.Pacing, res.MergeMode,
+				string(sys), res.Pacing,
 				fmt.Sprint(res.Blocks), fmt.Sprintf("%.0f", res.TPS),
 				latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.P50 }),
 				latCell(res.CommitLat, func(s *HistSummary) time.Duration { return s.P99 }),
@@ -376,11 +342,10 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 				fmt.Sprint(res.Preemptions),
 			})
 			if res.CommitLat != nil {
-				switch {
-				case !cell.paced && !cell.preemptible:
-					heads[sys].mono = res.CommitLat.P999
-				case cell.paced && cell.preemptible:
-					heads[sys].both = res.CommitLat.P999
+				if cell.paced {
+					heads[sys].paced = res.CommitLat.P999
+				} else {
+					heads[sys].unpaced = res.CommitLat.P999
 				}
 			}
 		}
@@ -392,11 +357,11 @@ func StallBench(cfg Config, scratch string) (*Table, error) {
 	}
 	for _, sys := range []System{SysCOLE, SysCOLEAsync} {
 		h := heads[sys]
-		if h.mono > 0 && h.both > 0 {
+		if h.unpaced > 0 && h.paced > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%s: paced+preemptible p99.9 commit = %s vs unpaced monolithic %s (%.1fx lower)",
-				sys, h.both.Round(time.Microsecond), h.mono.Round(time.Microsecond),
-				float64(h.mono)/float64(h.both)))
+				"%s: paced p99.9 commit = %s vs unpaced %s (unpaced/paced = %.1fx)",
+				sys, h.paced.Round(time.Microsecond), h.unpaced.Round(time.Microsecond),
+				float64(h.unpaced)/float64(h.paced)))
 		}
 	}
 	return t, nil

@@ -111,11 +111,11 @@ type Options struct {
 	// level merges: between chunks a merge probes the scheduler for queued
 	// higher-priority work (an L0 flush a commit checkpoint is waiting on)
 	// and hands its worker slot over before pulling the next chunk. 0
-	// selects the default (16384 entries ≈ 1 MiB); negative disables
-	// chunking entirely (monolithic merges, the pre-preemption behavior,
-	// kept as an ablation knob for the stall benchmark). Chunking never
-	// changes merge output — byte-identical runs at any quantum — only
-	// when a commit can overtake a long merge on a narrow pool.
+	// selects the default (16384 entries ≈ 1 MiB); negative values are
+	// rejected. Every background merge is chunked; inline (sync-mode)
+	// merges and L0 flushes, which nothing outranks, are not. Chunking
+	// never changes merge output — byte-identical runs at any quantum —
+	// only when a commit can overtake a long merge on a narrow pool.
 	MergeChunk int
 	// PacingTarget is the compaction-debt level, in bytes, at which
 	// ingest pacing reaches full strength. Debt is the entry volume of
@@ -129,18 +129,6 @@ type Options struct {
 	// throughput. 0 disables pacing (the default). A reasonable target is
 	// a few cascades' worth of bytes: MemCapacity × EntrySize × SizeRatio.
 	PacingTarget int64
-	// PipelinedCommit overlaps a cascade commit's trailing file I/O — the
-	// manifest write (temp + rename) and the retired runs' unlinks — with
-	// the next block's execution and hashing: the commit marshals the
-	// manifest bytes and publishes the new read view under the lock, then
-	// returns while a background goroutine persists and reclaims. Digests,
-	// manifest bytes, and the "manifest stops naming a run before its
-	// files are unlinked" invariant are all unchanged; the only new crash
-	// window (commit returned, manifest not yet renamed) is already
-	// covered by COLE's replay-from-checkpoint model plus the orphan
-	// sweep on reopen. The next cascade, FlushAll, and Close join the
-	// in-flight I/O first, so manifest writes stay ordered.
-	PipelinedCommit bool
 	// SortedBatch makes PutBatch bulk-load the L0 MB-tree: the deduped
 	// batch is sorted by address and inserted through the tree's sorted
 	// fast path (one descent per leaf instead of one per key). The tree's
@@ -215,6 +203,9 @@ func (o Options) withDefaults() Options {
 	if o.RootHistory == 0 {
 		o.RootHistory = 512
 	}
+	if o.MergeChunk == 0 {
+		o.MergeChunk = defaultMergeChunk
+	}
 	o.FS = vfs.OrOS(o.FS)
 	return o
 }
@@ -231,6 +222,9 @@ func (o Options) validate() error {
 	}
 	if o.Fanout < 2 {
 		return fmt.Errorf("core: Fanout %d < 2", o.Fanout)
+	}
+	if o.MergeChunk < 0 {
+		return fmt.Errorf("core: MergeChunk %d < 0", o.MergeChunk)
 	}
 	return nil
 }
@@ -301,6 +295,12 @@ type Engine struct {
 	// the two cascades still live exclusively in memory.
 	checkpoint  uint64
 	lastCascade uint64 // height of the most recent flush cascade
+	// durableCheckpoint is the replay point of the last manifest that
+	// reached disk: loaded at Open and advanced by the commit-I/O
+	// goroutine only after a successful rename, so checkpoint runs ahead
+	// of it while a manifest write is in flight (and for good, if that
+	// write fails). CheckpointHeight reports this one.
+	durableCheckpoint atomic.Uint64
 
 	// L0.
 	mem        [2]*memGroup
@@ -327,11 +327,12 @@ type Engine struct {
 	// view after every structural or L0 change.
 	viewPtr atomic.Pointer[view]
 
-	// pendingIO is the in-flight deferred commit I/O of a pipelined
-	// cascade (manifest persist + run retirement); the next cascade,
-	// FlushAll, and Close join it before writing their own manifest.
-	// ioWG additionally tracks the retirement unlinks, which are allowed
-	// to drain past the manifest join; only Close waits them out.
+	// pendingIO is the in-flight deferred I/O of the last structural
+	// commit (manifest persist + run retirement); the next cascade and
+	// FlushAll join it before writing their own manifest, Close before
+	// closing runs. ioWG additionally tracks the retirement unlinks,
+	// which may drain past the manifest join; FlushAll and Close wait
+	// them out.
 	pendingIO *commitIO
 	ioWG      sync.WaitGroup
 
@@ -683,6 +684,7 @@ func (e *Engine) loadManifest() error {
 	e.height = m.Replay
 	e.committed = m.Replay
 	e.checkpoint = m.Replay
+	e.durableCheckpoint.Store(m.Replay)
 	e.lastCascade = m.Replay
 	e.nextRunID = m.NextRunID
 	e.memWriting = m.MemWriting
@@ -707,9 +709,8 @@ func (e *Engine) loadManifest() error {
 }
 
 // marshalManifestLocked serializes the current structure. Split from the
-// file write so a pipelined commit can capture the exact bytes under the
-// lock and persist them on a background goroutine — the durable manifest
-// is byte-identical whether written inline or deferred.
+// file write so a commit can capture the exact bytes under the lock and
+// persist them on a background goroutine (startCommitIOLocked).
 func (e *Engine) marshalManifestLocked() ([]byte, error) {
 	m := manifest{
 		Height:      e.committed,
@@ -777,39 +778,24 @@ func (e *Engine) noteCorrupt(err error) error {
 	return err
 }
 
-func (e *Engine) writeManifest() error {
-	raw, err := e.marshalManifestLocked()
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	err = e.writeManifestBytes(raw)
-	if e.tr != nil {
-		e.trace(obs.EvManifest, -1, int64(len(raw)), 0, time.Since(start))
-	}
-	return err
-}
-
-// commitIO is one pipelined cascade's deferred I/O: the manifest persist
-// and the retirement of the runs the cascade removed. manifested closes
+// commitIO is one structural commit's deferred I/O: the manifest persist
+// and the retirement of the runs the commit removed. manifested closes
 // once the manifest rename has landed (or failed) — the only ordering
 // the next manifest writer needs; err carries a manifest-write failure
 // to that join point. The retirement unlinks continue past manifested
-// and are tracked by Engine.ioWG, which only Close drains: the unlinked
-// files are named by no current manifest, so later manifest writes
-// cannot race them.
+// and are tracked by Engine.ioWG: the unlinked files are named by no
+// current manifest, so later manifest writes cannot race them.
 type commitIO struct {
 	manifested chan struct{}
 	err        error
 }
 
-// joinCommitIOLocked waits for the in-flight pipelined commit's manifest
-// write, if any, and surfaces its error. The goroutine never takes e.mu,
-// so blocking here under the lock cannot deadlock. Every path that
-// writes a manifest (the next cascade, FlushAll) and Close must join
-// first so manifest writes stay strictly ordered; the previous commit's
-// run unlinks may still be draining afterwards (Close waits those out
-// via ioWG).
+// joinCommitIOLocked waits for the in-flight commit's manifest write, if
+// any, and surfaces its error. The goroutine never takes e.mu, so
+// blocking here under the lock cannot deadlock. Every path that writes a
+// manifest (the next cascade, FlushAll) and Close must join first so
+// manifest writes stay strictly ordered; the previous commit's run
+// unlinks may still be draining afterwards (ioWG).
 func (e *Engine) joinCommitIOLocked() error {
 	io := e.pendingIO
 	if io == nil {
@@ -820,15 +806,20 @@ func (e *Engine) joinCommitIOLocked() error {
 	return io.err
 }
 
-// startCommitIOLocked hands a cascade's trailing I/O — the marshaled
-// manifest bytes and the retiring run set — to a background goroutine.
-// Caller holds e.mu and must already have published the post-cascade
-// view (so no new reader can pick the retiring runs up). Retirement
-// happens strictly after the manifest rename, preserving the invariant
-// that the manifest stops naming a run before its files can be unlinked;
-// the runs' page-cache counters are folded into stats here, under the
-// lock, exactly as the inline path does.
+// startCommitIOLocked hands a structural commit's trailing I/O — the
+// marshaled manifest bytes and the retiring run set — to a background
+// goroutine, overlapping it with the next block's execution and hashing.
+// Caller holds e.mu, marshaled raw from the current structure, and must
+// already have published the matching view (so no new reader can pick
+// the retiring runs up). The manifest is written atomically and durably
+// (temp fsync + rename + parent directory fsync — it is the store's
+// commit point); retirement happens strictly after the rename,
+// preserving the invariant that the manifest stops naming a run before
+// its files can be unlinked. The runs' page-cache counters are folded
+// into stats here, under the lock, so Stats stays cumulative across
+// merges.
 func (e *Engine) startCommitIOLocked(raw []byte) {
+	replay := e.checkpoint
 	retiring := e.retiring
 	e.retiring = nil
 	for _, rr := range retiring {
@@ -843,7 +834,7 @@ func (e *Engine) startCommitIOLocked(raw []byte) {
 	go func() {
 		defer e.ioWG.Done()
 		start := time.Now()
-		err := e.writeManifestBytes(raw)
+		err := vfs.WriteFileAtomic(e.opts.FS, e.manifestPath(), raw, 0o644)
 		if e.tr != nil {
 			e.trace(obs.EvManifest, -1, int64(len(raw)), 0, time.Since(start))
 		}
@@ -852,7 +843,10 @@ func (e *Engine) startCommitIOLocked(raw []byte) {
 			close(io.manifested)
 			return
 		}
+		e.durableCheckpoint.Store(replay)
 		close(io.manifested)
+		// Views still pinning a retired run keep its files alive; the
+		// last release unlinks them.
 		for _, rr := range retiring {
 			rr.retired.Store(true)
 			rr.release()
@@ -914,11 +908,17 @@ func (e *Engine) Height() uint64 {
 }
 
 // CheckpointHeight returns the height of the last durable checkpoint:
-// after a crash, blocks above this height must be replayed (§4.3).
+// after a crash, blocks above this height must be replayed (§4.3). It
+// first waits out an in-flight manifest write, so the answer does not
+// depend on I/O timing; a manifest write that failed leaves it at the
+// previous checkpoint.
 func (e *Engine) CheckpointHeight() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.checkpoint
+	if io := e.pendingIO; io != nil {
+		<-io.manifested
+	}
+	return e.durableCheckpoint.Load()
 }
 
 // recordRootLocked appends the committed (height, root) pair to the root
@@ -1092,7 +1092,7 @@ func (e *Engine) Close() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Join the pipelined commit I/O before touching run files: retirement
+	// Join the deferred commit I/O before touching run files: retirement
 	// unlinks must not race the close, and a deferred manifest-write
 	// failure should not vanish silently at shutdown.
 	ioErr := e.joinCommitIOLocked()

@@ -161,6 +161,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Open(Options{Dir: t.TempDir(), Fanout: 1}); err == nil {
 		t.Fatal("fanout 1 must fail")
 	}
+	if _, err := Open(Options{Dir: t.TempDir(), MergeChunk: -1}); err == nil {
+		t.Fatal("negative merge chunk must fail")
+	}
 }
 
 func TestMultiLevelGetMatchesOracle(t *testing.T) {

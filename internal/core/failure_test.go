@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cole/internal/types"
+	"cole/internal/vfs"
 )
 
 // TestMissingRunFileDetectedOnOpen simulates a crash that lost a data file
@@ -254,5 +256,77 @@ func TestStrayNonRunFilesIgnored(t *testing.T) {
 	}
 	if !strings.HasPrefix(filepath.Base(e2.manifestPath()), "MANIFEST") {
 		t.Fatal("sanity")
+	}
+}
+
+// TestCheckpointHeightIsDurable fails the manifest write of a cascading
+// commit and checks that CheckpointHeight never reports a checkpoint
+// whose manifest did not land: the commit returns before its manifest
+// is written, the failure surfaces at the next join (FlushAll here), and
+// both the live engine and a reopen must still report the previous
+// checkpoint.
+func TestCheckpointHeightIsDurable(t *testing.T) {
+	const memCap = 8
+	open := func(fs *vfs.MemFS) *Engine {
+		e, err := Open(Options{Dir: "db", MemCapacity: memCap, SizeRatio: 4, Fanout: 4, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// Every block fills L0, so every commit cascades (a sync-mode flush;
+	// SizeRatio 4 keeps these first two flushes merge-free).
+	commit := func(e *Engine, h uint64) {
+		if err := e.BeginBlock(h); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < memCap; i++ {
+			if err := e.Put(types.AddressFromUint64(h*100+uint64(i)), types.ValueFromUint64(h)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Dry run to locate block 2's manifest rename. Sync-mode flushes run
+	// inline and each cascade joins the previous manifest write first, so
+	// the operation sequence is deterministic; block 2's manifest write
+	// (open, write, sync, close, rename, dir sync) is the last I/O of the
+	// run once it has been joined, so its rename is the next-to-last op.
+	dry := vfs.NewMem()
+	e := open(dry)
+	commit(e, 1)
+	commit(e, 2)
+	e.mu.Lock()
+	err := e.joinCommitIOLocked()
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rename := dry.OpCount() - 1
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs := vfs.NewMem()
+	fs.FailAt(rename, nil)
+	e = open(fs)
+	commit(e, 1)
+	commit(e, 2)
+	if err := e.FlushAll(); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("FlushAll = %v, want the injected manifest-write failure", err)
+	}
+	if ck := e.CheckpointHeight(); ck != 1 {
+		t.Fatalf("CheckpointHeight = %d after block 2's manifest write failed, want the durable 1", ck)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := open(fs)
+	defer e2.Close()
+	if ck := e2.CheckpointHeight(); ck != 1 {
+		t.Fatalf("reopened CheckpointHeight = %d, want 1", ck)
 	}
 }

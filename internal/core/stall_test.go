@@ -1,38 +1,46 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"cole/internal/merge"
+	"cole/internal/obs"
 	"cole/internal/types"
 )
 
-// TestChunkedMergeMatchesMonolithic drives identical workloads through a
-// chunked-preemptible engine and a monolithic one on ONE-worker pools,
-// in both merge modes: with a single slot every flush the commit path
+// TestChunkedMergeMatchesSingleChunk drives identical workloads through
+// a finely chunked engine and one whose quantum exceeds every merge in
+// the test (each merge runs as a single chunk) on ONE-worker pools, in
+// both merge modes: with a single slot every flush the commit path
 // needs contends with every deep merge, so any preemption bug surfaces
 // as a deadlock or a digest divergence. Chunking must be invisible in
 // the output — byte-identical digests block for block.
-func TestChunkedMergeMatchesMonolithic(t *testing.T) {
+func TestChunkedMergeMatchesSingleChunk(t *testing.T) {
+	const blocks, writes, accounts = 100, 12, 60
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			trChunked := obs.NewTracer(obs.DefaultTraceEvents)
 			optsChunked := testOpts(t, async)
 			optsChunked.MergeWorkers = 1
 			optsChunked.MergeChunk = 8 // checkpoint every 8 entries: maximal interleaving
-			optsMono := testOpts(t, async)
-			optsMono.MergeWorkers = 1
-			optsMono.MergeChunk = -1 // monolithic merges
+			optsChunked.Trace = trChunked
+			trWhole := obs.NewTracer(obs.DefaultTraceEvents)
+			optsWhole := testOpts(t, async)
+			optsWhole.MergeWorkers = 1
+			optsWhole.MergeChunk = blocks * writes // more entries than the whole workload writes
+			optsWhole.Trace = trWhole
 			ec := openEngine(t, optsChunked)
-			em := openEngine(t, optsMono)
-			const blocks, writes, accounts = 100, 12, 60
+			ew := openEngine(t, optsWhole)
 			for h := uint64(1); h <= blocks; h++ {
 				batch := batchFor(h, writes, accounts)
-				for _, e := range []*Engine{ec, em} {
+				for _, e := range []*Engine{ec, ew} {
 					if err := e.BeginBlock(h); err != nil {
 						t.Fatal(err)
 					}
@@ -44,16 +52,32 @@ func TestChunkedMergeMatchesMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rm, err := em.Commit()
+				rw, err := ew.Commit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rc != rm {
-					t.Fatalf("block %d: chunked digest %s != monolithic digest %s", h, rc, rm)
+				if rc != rw {
+					t.Fatalf("block %d: chunked digest %s != single-chunk digest %s", h, rc, rw)
 				}
 			}
-			if got := em.Stats().Preemptions; got != 0 {
-				t.Fatalf("monolithic engine recorded %d preemptions", got)
+			for _, e := range []*Engine{ec, ew} {
+				if err := e.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if trWhole.Dropped() != 0 || trChunked.Dropped() != 0 {
+				t.Fatal("tracer ring overflowed; chunk checkpoint counts are incomplete")
+			}
+			if got := trWhole.CountType(obs.EvMergeChunk); got != 0 {
+				t.Fatalf("single-chunk engine reached %d chunk checkpoints", got)
+			}
+			if got := ew.Stats().Preemptions; got != 0 {
+				t.Fatalf("single-chunk engine recorded %d preemptions", got)
+			}
+			// Only background (async) merges are chunked; inline sync-mode
+			// merges run in the flush lane, which nothing can preempt.
+			if got := trChunked.CountType(obs.EvMergeChunk); async != (got > 0) {
+				t.Fatalf("async=%v: chunked engine reached %d chunk checkpoints", async, got)
 			}
 		})
 	}
@@ -235,89 +259,90 @@ func TestPacingBackpressure(t *testing.T) {
 	}
 }
 
-// TestPipelinedCommitDeterminism runs ≥60 cascading blocks through a
-// pipelined engine and an unpipelined one, in both merge modes: every
-// block's header digest must be byte-identical (pipelining moves only
-// WHEN the manifest bytes and retirements hit disk, never WHAT), commit
-// tail stats must be recorded, and the pipelined store must reopen from
-// its deferred manifests with the same root.
+// TestPipelinedCommitDeterminism runs ≥60 cascading blocks, in both
+// merge modes, through the one commit path, which defers each cascade's
+// manifest write and run retirement to a background goroutine. The
+// deferral may move only WHEN bytes hit disk, never WHAT: every block's
+// published view must carry the digest Commit returned, commit tail
+// stats must be recorded, the manifest FlushAll leaves on disk must be
+// the exact bytes of the structure in memory, and the store must reopen
+// from it with the same root. TestEngineDigestsPinned pins the digests
+// themselves.
 func TestPipelinedCommitDeterminism(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			optsP := testOpts(t, async)
-			optsP.PipelinedCommit = true
-			optsU := testOpts(t, async)
-			ep, err := Open(optsP)
+			opts := testOpts(t, async)
+			e, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eu := openEngine(t, optsU)
 			const blocks, writes, accounts = 80, 12, 40
 			for h := uint64(1); h <= blocks; h++ {
-				batch := batchFor(h, writes, accounts)
-				for _, e := range []*Engine{ep, eu} {
-					if err := e.BeginBlock(h); err != nil {
-						t.Fatal(err)
-					}
-					if err := e.PutBatch(batch); err != nil {
-						t.Fatal(err)
-					}
+				if err := e.BeginBlock(h); err != nil {
+					t.Fatal(err)
 				}
-				rp, err := ep.Commit()
+				if err := e.PutBatch(batchFor(h, writes, accounts)); err != nil {
+					t.Fatal(err)
+				}
+				root, err := e.Commit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				ru, err := eu.Commit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rp != ru {
-					t.Fatalf("block %d: pipelined digest %s != unpipelined digest %s", h, rp, ru)
+				if v := e.ViewRoot(); v != root {
+					t.Fatalf("block %d: published view root %s != committed digest %s", h, v, root)
 				}
 			}
-			st := ep.Stats()
+			st := e.Stats()
 			if st.Commits != blocks {
 				t.Fatalf("Commits = %d, want %d", st.Commits, blocks)
 			}
 			if st.CommitNanos <= 0 || st.MaxCommitNanos <= 0 || st.MaxCommitNanos > st.CommitNanos {
 				t.Fatalf("implausible commit tail stats: total=%d max=%d", st.CommitNanos, st.MaxCommitNanos)
 			}
-			if err := ep.FlushAll(); err != nil {
+			if err := e.FlushAll(); err != nil {
 				t.Fatal(err)
 			}
-			if err := eu.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
-			// FlushAll may regroup L0 into runs (Hstate-preserving in sync
-			// mode, Hstate-shifting in async where the merging-group root
-			// leaves the list), but both engines must agree on the result.
-			postFlush := ep.RootDigest()
-			if pu := eu.RootDigest(); postFlush != pu {
-				t.Fatalf("post-flush pipelined digest %s != unpipelined %s", postFlush, pu)
-			}
-			if err := ep.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Reopen: the deferred manifests must have landed coherently.
-			ep2, err := Open(optsP)
+			// FlushAll is a barrier: its deferred manifest write has landed,
+			// byte-identical to the structure it was captured from.
+			onDisk, err := os.ReadFile(e.manifestPath())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ep2.Close()
-			if got := ep2.RootDigest(); got != postFlush {
-				t.Fatalf("reopened pipelined digest %s != post-flush digest %s", got, postFlush)
+			e.mu.Lock()
+			inMem, err := e.marshalManifestLocked()
+			e.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(onDisk, inMem) {
+				t.Fatalf("manifest on disk after FlushAll differs from the engine's structure:\n%s\nvs\n%s", onDisk, inMem)
+			}
+			if ck := e.CheckpointHeight(); ck != blocks {
+				t.Fatalf("CheckpointHeight after FlushAll = %d, want %d", ck, blocks)
+			}
+			postFlush := e.RootDigest()
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Reopen: the deferred manifests must have landed coherently.
+			e2, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			if got := e2.RootDigest(); got != postFlush {
+				t.Fatalf("reopened digest %s != post-flush digest %s", got, postFlush)
 			}
 		})
 	}
 }
 
-// TestPipelinedCommitCrashReplay crashes a pipelined engine (Close
-// without FlushAll) mid-stream and replays from the recovered
-// checkpoint: the deferred manifest writes must never leave the store
-// unable to reproduce its pre-crash digest.
+// TestPipelinedCommitCrashReplay crashes an engine (Close without
+// FlushAll) mid-stream and replays from the recovered checkpoint: the
+// deferred manifest writes must never leave the store unable to
+// reproduce its pre-crash digest.
 func TestPipelinedCommitCrashReplay(t *testing.T) {
 	opts := testOpts(t, true)
-	opts.PipelinedCommit = true
 	e, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

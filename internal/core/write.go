@@ -134,9 +134,9 @@ func (e *Engine) PutBatch(updates []Update) error {
 }
 
 // Commit finalizes the current block: it runs the flush/merge cascade if
-// the L0 writing group is full, persists the manifest when the structure
-// changed, publishes the new read view, and returns the block's state
-// root digest Hstate.
+// the L0 writing group is full, publishes the new read view, starts the
+// manifest write when the structure changed, and returns the block's
+// state root digest Hstate.
 func (e *Engine) Commit() (types.Hash, error) {
 	// Ingest pacing happens before the timed section: the deliberate
 	// backpressure sleep is accounted in PaceNanos, not CommitNanos, so
@@ -155,7 +155,7 @@ func (e *Engine) Commit() (types.Hash, error) {
 	cascaded := false
 	if e.mem[e.memWriting].tree.Size() >= e.opts.MemCapacity {
 		cascaded = true
-		// This cascade will supersede the previous pipelined commit's
+		// This cascade will supersede the previous cascade's deferred
 		// manifest: join its I/O first so writes stay ordered and a
 		// deferred failure surfaces here instead of being overwritten.
 		if err := e.joinCommitIOLocked(); err != nil {
@@ -182,21 +182,15 @@ func (e *Engine) Commit() (types.Hash, error) {
 	// in the durable history.
 	root := e.rootDigestLocked()
 	e.recordRootLocked(e.committed, root)
-	if cascaded && !e.opts.PipelinedCommit {
-		if err := e.writeManifest(); err != nil {
-			return types.Hash{}, err
-		}
-	}
 	// Publish after the digest warmed every L0 hash (the frozen snapshots
-	// must be clean for concurrent readers) and after the manifest write
-	// (or after its bytes were captured, when pipelined), then retire the
-	// runs the cascade removed: the fresh view excludes them, and views
-	// still pinning them keep their files alive.
-	if cascaded && e.opts.PipelinedCommit {
-		// Pipelined: capture the exact manifest bytes under the lock, then
-		// persist them — and unlink the retired runs' files strictly after
-		// the rename — on a background goroutine, overlapping this block's
-		// trailing I/O with the next block's execution and hashing.
+	// must be clean for concurrent readers). A cascade first captures the
+	// exact manifest bytes under the lock, then persists them — and
+	// unlinks the runs it retired, strictly after the rename — on a
+	// background goroutine: the fresh view already excludes those runs,
+	// and views still pinning them keep their files alive. A crash before
+	// the rename lands loses nothing replay cannot rebuild: nothing is
+	// unlinked yet, so the previous manifest's runs are all still there.
+	if cascaded {
 		raw, err := e.marshalManifestLocked()
 		if err != nil {
 			return types.Hash{}, err
@@ -205,7 +199,6 @@ func (e *Engine) Commit() (types.Hash, error) {
 		e.startCommitIOLocked(raw)
 	} else {
 		e.publishLocked()
-		e.retireLocked()
 	}
 	d := int64(time.Since(start))
 	e.stats.Commits++
@@ -454,16 +447,6 @@ func levelPriority(levelIdx int) merge.Priority {
 // that the probe (two atomic loads) never shows up in merge bandwidth.
 const defaultMergeChunk = 16384
 
-func (e *Engine) chunkQuantum() int {
-	if e.opts.MergeChunk < 0 {
-		return 0
-	}
-	if e.opts.MergeChunk == 0 {
-		return defaultMergeChunk
-	}
-	return e.opts.MergeChunk
-}
-
 // chunked wraps a merge source so the job checkpoints every quantum
 // entries and hands its worker slot to queued higher-priority work
 // (run.Chunked + Scheduler.Preempt). Flush-lane jobs are never wrapped —
@@ -471,10 +454,10 @@ func (e *Engine) chunkQuantum() int {
 // commit path. lvl tags the trace events with the merge's destination
 // level index.
 func (e *Engine) chunked(it run.Iterator, pri merge.Priority, lvl int32) run.Iterator {
-	q := e.chunkQuantum()
-	if q <= 0 || pri == merge.PriorityFlush {
+	if pri == merge.PriorityFlush {
 		return it
 	}
+	q := e.opts.MergeChunk
 	if e.tr == nil {
 		return run.Chunked(it, q, func() {
 			if e.sched.Preempt(pri, nil) {
@@ -636,7 +619,7 @@ func (e *Engine) FlushAll() error {
 	if e.inBlock {
 		return fmt.Errorf("core: FlushAll inside an open block")
 	}
-	// Join the pipelined commit I/O before writing another manifest.
+	// Join the deferred commit I/O before writing another manifest.
 	if err := e.joinCommitIOLocked(); err != nil {
 		return err
 	}
@@ -696,11 +679,17 @@ func (e *Engine) FlushAll() error {
 	}
 	e.checkpoint = e.committed
 	e.lastCascade = e.committed
-	if err := e.writeManifest(); err != nil {
+	raw, err := e.marshalManifestLocked()
+	if err != nil {
 		return err
 	}
 	e.rootDigestLocked() // warm L0 hashes for the snapshot
 	e.publishLocked()
-	e.retireLocked()
-	return nil
+	// Same deferred I/O as a cascade commit, but FlushAll is a barrier:
+	// the manifest and every retirement unlink have landed (or the
+	// manifest write's error is returned) before it does.
+	e.startCommitIOLocked(raw)
+	err = e.joinCommitIOLocked()
+	e.ioWG.Wait()
+	return err
 }

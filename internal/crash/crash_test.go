@@ -5,9 +5,10 @@
 // recovers — the reopen succeeds, the durable checkpoint never runs
 // ahead of the chain, replay from the checkpoint reproduces the
 // published digests, proofs verify, and a full integrity scrub comes
-// back clean. The sweep covers {sync, async merge, pipelined commit,
-// sorted batch} × {1, 4 shards}, the reshard generation flip, and the
-// dropped-directory-fsync ("buggy fsync") failure mode.
+// back clean. The sweep covers {sync, async merge, sorted batch} ×
+// {1, 4 shards} — every mode commits through the deferred manifest
+// write — the reshard generation flip, and the dropped-directory-fsync
+// ("buggy fsync") failure mode.
 package crash
 
 import (
@@ -74,7 +75,6 @@ func sweepConfigs() []config {
 	}{
 		{"sync", false, func(o *core.Options) {}},
 		{"async", true, func(o *core.Options) { o.AsyncMerge = true }},
-		{"pipelined", true, func(o *core.Options) { o.AsyncMerge = true; o.PipelinedCommit = true }},
 		{"sorted", false, func(o *core.Options) { o.SortedBatch = true }},
 	}
 	var out []config

@@ -115,7 +115,7 @@ func TestPriorityHandoff(t *testing.T) {
 // a ONE-worker pool: a chunked deep merge holds the only slot and calls
 // Preempt between chunks; a flush submitted mid-merge must run to
 // completion BEFORE the deep job's remaining chunks — i.e. a commit is
-// never blocked behind the tail of a monolithic merge.
+// never blocked behind the tail of a merge that cannot yield.
 func TestPreemptHandsSlotToFlush(t *testing.T) {
 	s := New(1)
 	const chunks = 64

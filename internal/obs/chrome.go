@@ -10,7 +10,7 @@ import (
 // Chrome trace-event export: the retained timeline rendered as the JSON
 // object format Perfetto and chrome://tracing open directly. Each shard
 // becomes a process, and within it activities get stable lanes
-// (threads): the commit path, the pipelined commit-IO lane, the flush
+// (threads): the commit path, the background commit-IO lane, the flush
 // lane, one lane per merge level, and one per partition-span slot — so
 // a stalls run shows flushes overtaking preempted deep merges at a
 // glance.

@@ -39,13 +39,13 @@ const (
 	// compaction debt that triggered it.
 	EvPace
 	// EvCommit is the whole commit critical path (Dur from the caller's
-	// Commit() entry to durability).
+	// Commit() entry to the published view).
 	EvCommit
 	// EvStall records a commit blocking on an unfinished async merge
 	// (the write stall COLE⁺ identifies); Dur is the wait.
 	EvStall
-	// EvManifest is one manifest write — inline on the commit path, or
-	// on the background IO lane under PipelinedCommit.
+	// EvManifest is one manifest write, on the background commit-IO
+	// lane.
 	EvManifest
 	// EvViewPublish marks a new read view becoming visible (ID = block
 	// height).

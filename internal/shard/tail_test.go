@@ -26,6 +26,12 @@ func TestShardStatsTailCounters(t *testing.T) {
 	defer s.Close()
 	const blocks = 40
 	runBlocks(t, s, 0, blocks, 24, 60)
+	// Quiesce first: async merges still in flight keep bumping MergeWaits
+	// between the store read and the per-engine reads below. FlushAll
+	// joins them and adds no commits.
+	if err := s.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 
 	st := s.Stats()
 	var sum core.Stats
